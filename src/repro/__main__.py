@@ -169,6 +169,17 @@ def _resolve_campaign(name: str):
     return factory()
 
 
+def _warn_store_defects(count, store) -> None:
+    """Name the defective entries a store scan quarantined."""
+    if count:
+        print(
+            f"warning: {int(count)} defective store entr"
+            f"{'y' if count == 1 else 'ies'} (bad checksum / truncated / "
+            f"stale schema) quarantined to {store.quarantine_dir}; their "
+            "trials count as pending and re-run"
+        )
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaign import TrialStore, execute, status
     from .obs import MetricsRegistry
@@ -181,14 +192,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{st.name}: {st.completed}/{st.total} trials complete, "
             f"{st.pending} pending (store: {args.store})"
         )
-        if st.corrupt:
-            print(
-                f"warning: {st.corrupt} defective store entr"
-                f"{'y' if st.corrupt == 1 else 'ies'} "
-                f"(bad checksum / truncated / stale schema) quarantined "
-                f"to {store.quarantine_dir} — counted as pending, will "
-                "re-run"
-            )
+        _warn_store_defects(st.corrupt, store)
         return 0
 
     supervision = None
@@ -213,11 +217,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"executed, {result.store_hits} replayed from store, "
         f"{len(result.specs)} total"
     )
-    if counters.get("campaign.store.corrupt"):
-        print(
-            f"warning: {int(counters['campaign.store.corrupt'])} defective "
-            f"store entries quarantined to {store.quarantine_dir} and re-run"
-        )
+    _warn_store_defects(counters.get("campaign.store.corrupt"), store)
     if result.quarantined:
         from .ground import quarantine_manifest
 
@@ -427,6 +427,7 @@ def _cmd_mission(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
+    from .campaign import TrialStore
     from .errors import ConfigurationError
     from .fleet import load_spec, render_report, report_json, run_fleet
     from .obs.metrics import MetricsRegistry
@@ -436,7 +437,9 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    metrics = MetricsRegistry() if args.metrics else None
+    # Always count, so the store-defect warning shows without --metrics.
+    metrics = MetricsRegistry()
+    store = TrialStore.coerce(args.store)
     supervision = None
     if args.supervised:
         from .ground import GroundPolicy
@@ -444,7 +447,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         supervision = GroundPolicy(timeout_seconds=args.timeout)
     result = run_fleet(
         spec,
-        store=args.store,
+        store=store,
         workers=args.workers,
         metrics=metrics,
         use_batch=not args.no_batch,
@@ -455,6 +458,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         f"\ntrials executed: {result.executed}, "
         f"replayed from store: {result.store_hits}"
     )
+    counters = metrics.snapshot()["counters"]
+    _warn_store_defects(counters.get("campaign.store.corrupt"), store)
     if result.quarantined:
         print(
             f"warning: {len(result.quarantined)} craft quarantined after "
@@ -465,7 +470,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     if args.report:
         Path(args.report).write_text(report_json(result.report))
         print(f"wrote report JSON: {args.report}")
-    if metrics is not None:
+    if args.metrics:
         print(json.dumps(metrics.snapshot(), indent=2, sort_keys=True))
     return 0
 

@@ -1,9 +1,11 @@
-"""Batched campaign execution through the SoA tick engine.
+"""Lockstep dispatch through the SoA tick engine.
 
 :func:`execute_batched` is the campaign-layer entry point for the
-structure-of-arrays backend (:mod:`repro.sim.batch`). Where
-:func:`repro.campaign.engine.execute` hands each trial to a worker
-process, ``execute_batched`` hands *groups* of trials to one
+structure-of-arrays backend (:mod:`repro.sim.batch`). It runs the same
+round lifecycle as :func:`repro.campaign.engine.execute` —
+:func:`~repro.campaign.engine.run_round`: scan, dispatch, absorb,
+assemble — with one extra dispatch step in front of the pool:
+:func:`dispatch_lockstep` hands *groups* of pending trials to one
 ``batch_fn(items, rngs)`` call that advances all of them in lockstep —
 one :class:`~repro.sim.batch.BatchMachines` sweep instead of N scalar
 tick loops.
@@ -12,45 +14,43 @@ The determinism contract is unchanged. Each lane receives exactly the
 generator the scalar engine would have built —
 ``trial_rng(seed_root, seed_index)`` — and the batch engine's RNG lane
 discipline (see ``docs/batch.md``) guarantees the draws it takes from
-that generator are byte-identical to the scalar ones. Results are
-canonicalised through the same ``encode -> JSON -> decode`` round-trip
-and persisted under the same fingerprints and
-:data:`~repro.campaign.store.STORE_SCHEMA` entry shape, so a store
-written by a batched run resumes a scalar run byte-identically and
-vice versa.
+that generator are byte-identical to the scalar ones. Lockstep and
+pooled results are absorbed, stored and assembled by the same code, so
+a store written by a batched run resumes a scalar run byte-identically
+and vice versa.
 
 Divergence is the escape hatch: trials that leave lockstep (a
 power-cycle, a reboot, any per-lane control flow the SoA engine cannot
-express) are *peeled* — the batch function returns the
-:class:`Diverged` sentinel for that lane and ``execute_batched``
-re-runs the whole trial through the scalar ``campaign.trial_fn`` with
-a fresh ``trial_rng``. Because a trial's stream depends only on
-``(seed_root, seed_index)``, the scalar re-run is the same trial the
-scalar engine would have produced, not an approximation.
+express) return the :class:`Diverged` sentinel for their lane and join
+the round's ordinary ``pmap`` dispatch, which re-runs the whole trial
+through the scalar ``campaign.trial_fn`` with a fresh ``trial_rng``.
+Because a trial's stream depends only on ``(seed_root, seed_index)``,
+the scalar re-run is the same trial the scalar engine would have
+produced, not an approximation.
 
-Tracing is deliberately unsupported here: a batched sweep has no
-per-trial tracer to thread through lockstep lanes. Campaigns that need
-traces use the scalar :func:`~repro.campaign.engine.execute`.
+Tracing and supervision are deliberately unsupported here: a batched
+sweep has no per-trial tracer to thread through lockstep lanes.
+Campaigns that need them use the scalar
+:func:`~repro.campaign.engine.execute`.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from .engine import CampaignResult, RoundExecution, _canonical_result
-from .spec import Campaign, trial_rng
-from .store import STORE_SCHEMA, TrialStore
+from .engine import CampaignResult
+from .spec import Campaign, TrialSpec, trial_rng
 
 __all__ = ["Diverged", "execute_batched"]
 
 
 class Diverged:
-    """Per-lane sentinel: this trial left lockstep, peel it to scalar.
+    """Per-lane sentinel: this trial left lockstep, run it scalar.
 
     A batch function returns ``Diverged(reason)`` in a lane's result
-    slot instead of a value; :func:`execute_batched` then re-runs that
-    trial through the scalar ``campaign.trial_fn`` with its own
-    ``trial_rng``. ``reason`` is free-form ("power-cycle", "reboot",
-    ...) and lands only in metrics-side accounting, never in results.
+    slot instead of a value; the round then re-runs that trial through
+    the scalar ``campaign.trial_fn`` with its own ``trial_rng``.
+    ``reason`` is free-form ("power-cycle", "reboot", ...) and lands
+    only in metrics-side accounting, never in results.
     """
 
     __slots__ = ("reason",)
@@ -72,59 +72,29 @@ def _groups(indices: "list[int]", group_size: "int | None"):
         yield indices[start : start + group_size]
 
 
-def run_round_batched(
+def dispatch_lockstep(
     campaign: Campaign,
+    specs: "list[TrialSpec]",
+    pending: "list[int]",
     batch_fn,
     *,
-    store: "TrialStore | None" = None,
+    group_size: "int | None",
+    absorb,
     metrics=None,
-    group_size: "int | None" = None,
-) -> RoundExecution:
-    """Execute one round in lockstep groups through ``batch_fn``.
+) -> "list[int]":
+    """Run ``pending`` (grid indices) through ``batch_fn`` in groups.
 
-    The batched sibling of :func:`repro.campaign.engine.run_round`;
-    callers outside the stream machinery want :func:`execute_batched`
-    / :func:`~repro.campaign.stream.execute_stream`.
+    Every lane that stays in lockstep goes to ``absorb(i, value,
+    None)`` as its group lands; the grid indices of the
+    :class:`Diverged` lanes are returned, in grid order, for the
+    round's pool dispatch.
     """
     if not callable(batch_fn):
         raise ConfigurationError("execute_batched needs a callable batch_fn")
     if group_size is not None and group_size < 1:
         raise ConfigurationError("group_size must be >= 1")
-    store = TrialStore.coerce(store)
-    specs = campaign.specs()
-
-    hits: "dict[int, dict]" = {}
-    if store is not None:
-        for index, spec in enumerate(specs):
-            entry = store.get(spec.fingerprint)
-            if entry is not None:
-                hits[index] = entry
-
-    pending = [i for i in range(len(specs)) if i not in hits]
-
-    canonical: "dict[int, object]" = {}
-
-    def _absorb(i: int, value) -> None:
-        """Canonicalise + persist one trial the moment its group lands."""
-        canonical[i] = _canonical_result(campaign, value)
-        if store is not None:
-            spec = specs[i]
-            store.put(
-                spec.fingerprint,
-                {
-                    "schema": STORE_SCHEMA,
-                    "fingerprint": spec.fingerprint,
-                    "campaign": campaign.name,
-                    "params": spec.params,
-                    "seed_root": spec.seed_root,
-                    "seed_index": spec.seed_index,
-                    "result": canonical[i],
-                    "records": None,
-                },
-            )
-
+    diverged: "list[int]" = []
     n_groups = 0
-    n_diverged = 0
     for group in _groups(pending, group_size):
         n_groups += 1
         items = [campaign.trials[i].item for i in group]
@@ -135,47 +105,18 @@ def run_round_batched(
                 f"batch_fn returned {len(outcomes)} results for a "
                 f"{len(group)}-lane group"
             )
-        for lane, (i, value) in enumerate(zip(group, outcomes)):
+        for i, value in zip(group, outcomes):
             if isinstance(value, Diverged):
-                n_diverged += 1
-                value = campaign.trial_fn(
-                    items[lane],
-                    trial_rng(specs[i].seed_root, specs[i].seed_index),
-                    None,
-                )
-            _absorb(i, value)
-
-    for i, entry in hits.items():
-        canonical[i] = entry["result"]
-
-    decode = campaign.decode if campaign.decode is not None else lambda v: v
-    values = [decode(canonical[i]) for i in range(len(specs))]
-
+                diverged.append(i)
+            else:
+                absorb(i, value, None)
     if metrics is not None:
-        metrics.counter("campaign.trials.total").inc(len(specs))
-        metrics.counter("campaign.trials.executed").inc(len(pending))
-        if store is not None:
-            metrics.counter("campaign.store.hits").inc(len(hits))
-            metrics.counter("campaign.store.misses").inc(len(pending))
         if n_groups:
             metrics.counter("campaign.batch.groups").inc(n_groups)
             metrics.counter("campaign.batch.lanes").inc(len(pending))
-        if n_diverged:
-            metrics.counter("campaign.batch.diverged").inc(n_diverged)
-
-    result = CampaignResult(
-        name=campaign.name,
-        values=values,
-        specs=specs,
-        executed=len(pending),
-        store_hits=len(hits),
-        report=None,
-    )
-    return RoundExecution(
-        result=result,
-        canonical=[canonical[i] for i in range(len(specs))],
-        records=None,
-    )
+        if diverged:
+            metrics.counter("campaign.batch.diverged").inc(len(diverged))
+    return diverged
 
 
 def execute_batched(
@@ -195,10 +136,9 @@ def execute_batched(
     scalar fallback. ``group_size`` caps how many lanes ride in one
     batch call (``None`` = all pending trials in a single group).
 
-    Like :func:`~repro.campaign.engine.execute`, this routes through
-    the round-based stream core — the static grid is the trivial
-    one-round source — and stays byte-identical to the pre-stream
-    executor.
+    Like :func:`~repro.campaign.engine.execute`, this drains the
+    campaign as the trivial one-round stream through
+    :func:`~repro.campaign.stream.execute_stream`.
     """
     from .stream import GridSource, execute_stream
 

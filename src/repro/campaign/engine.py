@@ -1,33 +1,35 @@
 """The campaign executor: run a declared grid, skip what's done.
 
 :func:`execute` is the one way any experiment's trials reach
-:func:`repro.parallel.pmap`. Since the round-based refactor it is a
-thin wrapper: the campaign becomes the trivial one-round
-:class:`~repro.campaign.stream.TrialSource`
-(:class:`~repro.campaign.stream.GridSource`) and drains through
-:func:`~repro.campaign.stream.execute_stream` — the same core that
-runs multi-round adaptive streams (:mod:`repro.adaptive`). For each
-round the engine:
+:func:`repro.parallel.pmap`: the campaign becomes the trivial
+one-round :class:`~repro.campaign.stream.GridSource` and drains
+through :func:`~repro.campaign.stream.execute_stream`, the same core
+that runs adaptive streams (:mod:`repro.adaptive`) and lockstep batch
+rounds (:func:`~repro.campaign.batch.execute_batched`).
 
-1. resolves the round's trial fingerprints (:meth:`Campaign.specs`);
-2. consults the :class:`~repro.campaign.store.TrialStore` (if given)
-   and **skips** trials whose fingerprint is already stored;
-3. runs the missing trials through ``pmap`` — each in a worker with
+:func:`run_round` is the only round lifecycle, four steps in order:
+
+1. **scan** — read each trial's fingerprint from the
+   :class:`~repro.campaign.store.TrialStore` (if given); stored trials
+   are **skipped**, defective entries quarantined and counted;
+2. **dispatch** — with a ``batch_fn``, pending trials first run in
+   lockstep groups (:mod:`repro.campaign.batch`); the rest (the
+   ``Diverged`` lanes, or all of them) run through ``pmap``, each with
    its own :func:`~repro.campaign.spec.trial_rng` generator and (when
-   tracing) a fresh per-trial :class:`~repro.obs.TraceRecorder`;
-4. canonicalises every result — stored hit or fresh execution alike —
-   through an ``encode -> JSON -> decode`` round-trip, so resumed and
-   cold runs aggregate **byte-identically**;
-5. persists each fresh result (with its trace records) *as it lands*
-   — not after the batch — so a run killed mid-grid keeps every
-   completed trial; finally the stream merges all trace records, in
-   round-major grid order, into one JSONL file.
+   tracing) a fresh :class:`~repro.obs.TraceRecorder`;
+3. **absorb** — canonicalise each result through ``encode -> JSON ->
+   decode`` (the exact object a store hit yields, so resumed and cold
+   runs aggregate **byte-identically**) and persist it *as it lands*,
+   so a run killed mid-grid keeps every completed trial;
+4. **assemble** — decode every slot into the round's
+   :class:`CampaignResult` (:func:`~repro.campaign.stream.replay_round`
+   rebuilds fully stored rounds through the same step).
 
 Store accounting lands in the caller's
 :class:`~repro.obs.metrics.MetricsRegistry` under
 ``campaign.store.hits`` / ``campaign.store.misses`` /
-``campaign.trials.executed`` — the counters CI uses to prove a resume
-actually skipped completed work.
+``campaign.store.corrupt`` / ``campaign.trials.executed`` — the
+counters CI uses to prove a resume actually skipped completed work.
 """
 
 from __future__ import annotations
@@ -129,12 +131,34 @@ def _canonical_result(campaign: Campaign, value):
     return json.loads(json.dumps(jsonify(encoded)))
 
 
-def _defects(store: "TrialStore | None") -> int:
-    """Total defective-entry observations on a store handle."""
+def _scan(
+    store: "TrialStore | None", specs: "list[TrialSpec]"
+) -> "tuple[dict[int, dict], int]":
+    """Scan step: the stored entries by grid index, and how many
+    defective entries the reads quarantined (their trials re-run)."""
     if store is None:
-        return 0
-    return sum(
-        store.counters[k] for k in ("corrupt", "stale", "unreadable")
+        return {}, 0
+    kinds = ("corrupt", "stale", "unreadable")
+    before = sum(store.counters[k] for k in kinds)
+    hits = {}
+    for index, spec in enumerate(specs):
+        entry = store.get(spec.fingerprint)
+        if entry is not None:
+            hits[index] = entry
+    return hits, sum(store.counters[k] for k in kinds) - before
+
+
+def _assemble(campaign: Campaign, specs, canonical, **fields) -> CampaignResult:
+    """Assemble step: decode every canonical slot, grid order, into the
+    round's result; quarantined slots stay ``None``."""
+    decode = campaign.decode if campaign.decode is not None else lambda v: v
+    skipped = {q.index for q in fields.get("quarantined", ())}
+    values = [
+        None if i in skipped else decode(value)
+        for i, value in enumerate(canonical)
+    ]
+    return CampaignResult(
+        name=campaign.name, values=values, specs=specs, **fields
     )
 
 
@@ -148,47 +172,37 @@ def run_round(
     force_pool: bool = False,
     chunksize: "int | None" = None,
     supervision=None,
+    batch_fn=None,
+    group_size: "int | None" = None,
 ) -> RoundExecution:
-    """Execute one round (a fully resolved grid) through ``pmap``.
+    """Execute one round (a fully resolved grid): scan, dispatch,
+    absorb, assemble.
 
-    This is the body the pre-stream ``execute`` had, minus trace-file
-    writing: records are *returned* (``RoundExecution.records``) so
-    the stream can merge every round into one file. Callers outside
-    the stream machinery want :func:`execute` /
+    Records are *returned* (``RoundExecution.records``) so the stream
+    can merge every round into one trace file. With ``batch_fn`` the
+    pending trials first run in lockstep groups of at most
+    ``group_size`` lanes; lanes that return
+    :class:`~repro.campaign.batch.Diverged` join the ordinary ``pmap``
+    dispatch, and a round whose lanes all stay in lockstep makes no
+    pool call (``report`` is ``None``). Callers outside the stream
+    machinery want :func:`execute` /
+    :func:`~repro.campaign.batch.execute_batched` /
     :func:`~repro.campaign.stream.execute_stream`.
     """
     store = TrialStore.coerce(store)
     specs = campaign.specs()
 
-    defects_before = _defects(store)
-    hits: "dict[int, dict]" = {}
-    if store is not None:
-        for index, spec in enumerate(specs):
-            entry = store.get(spec.fingerprint)
-            if entry is not None:
-                hits[index] = entry
-    defect_count = _defects(store) - defects_before
-
+    # 1. Scan.
+    hits, defect_count = _scan(store, specs)
     pending = [i for i in range(len(specs)) if i not in hits]
-    payloads = [
-        (
-            campaign.trial_fn,
-            campaign.trials[i].item,
-            specs[i].seed_root,
-            specs[i].seed_index,
-            with_tracer,
-        )
-        for i in pending
-    ]
 
+    # 3. Absorb (called by the dispatch step as each trial lands).
     canonical: "dict[int, object]" = {}
     record_dicts: "dict[int, list | None]" = {}
 
-    def _absorb(position: int, outcome) -> None:
+    def _absorb(i: int, value, records) -> None:
         """Canonicalise and persist one trial the moment it lands —
         incremental, so a run killed mid-grid keeps its progress."""
-        value, records = outcome
-        i = pending[position]
         canonical[i] = _canonical_result(campaign, value)
         record_dicts[i] = (
             None if records is None else [r.to_dict() for r in records]
@@ -209,61 +223,64 @@ def run_round(
                 },
             )
 
-    report = pmap_report(
-        _execute_trial,
-        payloads,
-        workers=workers,
-        force_pool=force_pool,
-        chunksize=chunksize,
-        on_result=_absorb,
-        supervision=supervision,
-        metrics=metrics if supervision is not None else None,
-    )
+    # 2. Dispatch: lockstep groups first, then the pool for the rest.
+    scalar = pending
+    if batch_fn is not None:
+        from .batch import dispatch_lockstep
 
-    # Resolve pmap-level quarantines (positions in `pending`) to their
+        scalar = dispatch_lockstep(
+            campaign, specs, pending, batch_fn,
+            group_size=group_size, absorb=_absorb, metrics=metrics,
+        )
+    report = None
+    if batch_fn is None or scalar:
+        payloads = [
+            (campaign.trial_fn, campaign.trials[i].item,
+             specs[i].seed_root, specs[i].seed_index, with_tracer)
+            for i in scalar
+        ]
+        report = pmap_report(
+            _execute_trial,
+            payloads,
+            workers=workers,
+            force_pool=force_pool,
+            chunksize=chunksize,
+            on_result=lambda pos, outcome: _absorb(scalar[pos], *outcome),
+            supervision=supervision,
+            metrics=metrics if supervision is not None else None,
+        )
+
+    # Resolve pmap-level quarantines (positions in `scalar`) to their
     # campaign identities, and splice ground events into trial traces.
     quarantined: "list[QuarantinedTrial]" = []
-    quarantined_grid: "set[int]" = set()
-    if report.quarantined:
+    if report is not None and report.quarantined:
         from ..ground.supervision import QuarantinedTrial
 
         for q in report.quarantined:
-            i = pending[q.index]
-            quarantined_grid.add(i)
-            canonical[i] = None
-            record_dicts[i] = None
+            i = scalar[q.index]
+            canonical[i] = record_dicts[i] = None
             quarantined.append(
                 QuarantinedTrial(
-                    index=i,
-                    fingerprint=specs[i].fingerprint,
-                    params=specs[i].params,
-                    attempts=q.attempts,
+                    index=i, fingerprint=specs[i].fingerprint,
+                    params=specs[i].params, attempts=q.attempts,
                     error=q.error,
                 )
             )
-    if with_tracer and report.ground_events:
+    if with_tracer and report is not None:
         for position, events in enumerate(report.ground_events):
-            if not events:
-                continue
-            i = pending[position]
-            record_dicts[i] = [r.to_dict() for r in events] + (
-                record_dicts[i] or []
-            )
+            if events:
+                i = scalar[position]
+                record_dicts[i] = [r.to_dict() for r in events] + (
+                    record_dicts[i] or []
+                )
 
+    # 4. Assemble.
     trace_missing = 0
     for i, entry in hits.items():
         canonical[i] = entry["result"]
         record_dicts[i] = entry.get("records")
         if with_tracer and record_dicts[i] is None:
             trace_missing += 1
-
-    decode = campaign.decode if campaign.decode is not None else lambda v: v
-    values = [
-        None
-        if i in quarantined_grid
-        else decode(canonical[i])
-        for i in range(len(specs))
-    ]
 
     records = None
     if with_tracer:
@@ -289,20 +306,12 @@ def run_round(
         if trace_missing:
             metrics.counter("campaign.trace.missing").inc(trace_missing)
 
-    result = CampaignResult(
-        name=campaign.name,
-        values=values,
-        specs=specs,
-        executed=len(pending) - len(quarantined),
-        store_hits=len(hits),
-        report=report,
-        quarantined=tuple(quarantined),
+    ordered = [canonical[i] for i in range(len(specs))]
+    result = _assemble(
+        campaign, specs, ordered, executed=len(pending) - len(quarantined),
+        store_hits=len(hits), report=report, quarantined=tuple(quarantined),
     )
-    return RoundExecution(
-        result=result,
-        canonical=[canonical[i] for i in range(len(specs))],
-        records=records,
-    )
+    return RoundExecution(result=result, canonical=ordered, records=records)
 
 
 def execute(
@@ -360,19 +369,14 @@ def status(campaign: Campaign, store, *, fast: bool = False) -> CampaignStatus:
     """
     store = TrialStore.coerce(store)
     specs = campaign.specs()
-    completed = 0
-    corrupt = 0
-    if store is not None:
-        if fast:
-            completed = sum(
-                1 for spec in specs if store.contains(spec.fingerprint)
-            )
-        else:
-            defects_before = _defects(store)
-            completed = sum(
-                1 for spec in specs if store.get(spec.fingerprint) is not None
-            )
-            corrupt = _defects(store) - defects_before
+    if fast:
+        completed = 0 if store is None else sum(
+            1 for spec in specs if store.contains(spec.fingerprint)
+        )
+        corrupt = 0
+    else:
+        hits, corrupt = _scan(store, specs)
+        completed = len(hits)
     return CampaignStatus(
         name=campaign.name,
         total=len(specs),

@@ -27,11 +27,15 @@ executor without giving up any of the campaign layer's guarantees:
   :func:`stream_status` does this replay read-only to report progress
   without executing anything.
 
-``execute_stream`` is the single drain loop behind both
+``execute_stream`` is the single drain loop behind
 :func:`repro.campaign.execute` (scalar / supervised / traced) and
 :func:`repro.campaign.execute_batched` (SoA lockstep via
-``batch_fn``), which is what makes static-grid campaigns through the
-round core byte-identical to the historical one-shot executors.
+``batch_fn``): every round, whatever its backend, runs the one round
+lifecycle :func:`~repro.campaign.engine.run_round`, which is what
+makes static-grid campaigns through the round core byte-identical to
+the historical one-shot executors. :func:`replay_round` and
+:func:`stream_status` read rounds through that lifecycle's scan step
+and rebuild them through its assemble step.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..errors import ConfigurationError
-from .engine import CampaignStatus, RoundExecution, run_round, status
+from .engine import (
+    CampaignStatus,
+    _assemble,
+    _scan,
+    run_round,
+    status,
+)
 from .spec import Campaign, canonical_json
 from .store import TrialStore
 
@@ -255,9 +265,9 @@ def execute_stream(
 ) -> StreamResult:
     """Drain ``source`` round by round until it declines to continue.
 
-    Each round runs through the full campaign machinery
-    (:func:`~repro.campaign.engine.run_round`, or its batched sibling
-    when ``batch_fn`` is given): store skip/persist per trial,
+    Each round runs through the one round lifecycle
+    (:func:`~repro.campaign.engine.run_round`, with a lockstep dispatch
+    step when ``batch_fn`` is given): store skip/persist per trial,
     supervision/quarantine, per-round metrics. Trace records are
     accumulated across rounds and merged into **one** file at the
     end, in round-major grid order — for a one-round stream that is
@@ -290,27 +300,18 @@ def execute_stream(
         if campaign is None:
             exhausted = True
             break
-        if batch_fn is not None:
-            from .batch import run_round_batched
-
-            execution: RoundExecution = run_round_batched(
-                campaign,
-                batch_fn,
-                store=store,
-                metrics=metrics,
-                group_size=group_size,
-            )
-        else:
-            execution = run_round(
-                campaign,
-                workers=workers,
-                store=store,
-                with_tracer=trace_path is not None,
-                metrics=metrics,
-                force_pool=force_pool,
-                chunksize=chunksize,
-                supervision=supervision,
-            )
+        execution = run_round(
+            campaign,
+            workers=workers,
+            store=store,
+            with_tracer=trace_path is not None,
+            metrics=metrics,
+            force_pool=force_pool,
+            chunksize=chunksize,
+            supervision=supervision,
+            batch_fn=batch_fn,
+            group_size=group_size,
+        )
         round_result = RoundResult(
             index=len(rounds),
             result=execution.result,
@@ -337,6 +338,22 @@ def execute_stream(
     )
 
 
+def _scan_round(campaign: Campaign, store):
+    """Scan one round: its per-trial status, plus its ``(result,
+    canonical)`` replay when every trial is stored (else ``None``)."""
+    specs = campaign.specs()
+    hits, corrupt = _scan(store, specs)
+    current = CampaignStatus(campaign.name, len(specs), len(hits), corrupt)
+    if current.pending:
+        return current, None
+    canonical = [hits[i]["result"] for i in range(len(specs))]
+    result = _assemble(
+        campaign, specs, canonical,
+        executed=0, store_hits=len(specs), report=None,
+    )
+    return current, (result, canonical)
+
+
 def replay_round(campaign: Campaign, store: "TrialStore | None"):
     """Rebuild one fully stored round without executing anything.
 
@@ -345,27 +362,7 @@ def replay_round(campaign: Campaign, store: "TrialStore | None"):
     or ``None`` if any of the round's trials is missing from the
     store (the round is incomplete; replay must stop here).
     """
-    if store is None:
-        return None
-    specs = campaign.specs()
-    canonical: "list[object]" = []
-    for spec in specs:
-        entry = store.get(spec.fingerprint)
-        if entry is None:
-            return None
-        canonical.append(entry["result"])
-    decode = campaign.decode if campaign.decode is not None else lambda v: v
-    from .engine import CampaignResult
-
-    result = CampaignResult(
-        name=campaign.name,
-        values=[decode(c) for c in canonical],
-        specs=specs,
-        executed=0,
-        store_hits=len(specs),
-        report=None,
-    )
-    return result, canonical
+    return None if store is None else _scan_round(campaign, store)[1]
 
 
 @dataclass(frozen=True)
@@ -393,46 +390,43 @@ def stream_status(
 ) -> StreamStatus:
     """Replay ``source`` against ``store`` read-only and report progress.
 
-    Complete rounds are rebuilt from stored entries (their digests
-    feed the source exactly as live execution would); the first
-    incomplete round is counted per-trial — with ``fast=True`` via
-    the O(stat) :meth:`TrialStore.contains` probe instead of full
-    read+checksum scans. Nothing is ever executed; defective entries
-    encountered during replay are quarantined and counted as pending,
-    exactly like the default :func:`~repro.campaign.engine.status`
-    scan.
+    Each round is scanned once: a fully stored round is rebuilt from
+    the scan (its digest feeds the source exactly as live execution
+    would); the first incomplete round is counted per-trial from the
+    same scan, defective entries quarantined, counted in ``corrupt``
+    and reported as pending, exactly like the default
+    :func:`~repro.campaign.engine.status` scan. With ``fast=True`` each
+    round is first probed with the O(stat)
+    :meth:`TrialStore.contains`; a round with absent trials is counted
+    from that probe alone, without reading its entries. Nothing is
+    ever executed.
     """
     store = TrialStore.coerce(store)
     history = StreamHistory()
     trials_stored = 0
+
+    def _progress(current=None, exhausted=False) -> StreamStatus:
+        return StreamStatus(
+            name=source.name,
+            rounds_complete=len(history.rounds),
+            trials_stored=trials_stored + (current.completed if current else 0),
+            current=current,
+            exhausted=exhausted,
+        )
+
     while True:
         if max_rounds is not None and len(history.rounds) >= max_rounds:
-            return StreamStatus(
-                name=source.name,
-                rounds_complete=len(history.rounds),
-                trials_stored=trials_stored,
-                current=None,
-                exhausted=False,
-            )
+            return _progress()
         campaign = source.next_round(history)
         if campaign is None:
-            return StreamStatus(
-                name=source.name,
-                rounds_complete=len(history.rounds),
-                trials_stored=trials_stored,
-                current=None,
-                exhausted=True,
-            )
-        replayed = replay_round(campaign, store)
+            return _progress(exhausted=True)
+        if fast:
+            current = status(campaign, store, fast=True)
+            if current.pending:
+                return _progress(current)
+        current, replayed = _scan_round(campaign, store)
         if replayed is None:
-            current = status(campaign, store, fast=fast)
-            return StreamStatus(
-                name=source.name,
-                rounds_complete=len(history.rounds),
-                trials_stored=trials_stored + current.completed,
-                current=current,
-                exhausted=False,
-            )
+            return _progress(current)
         result, canonical = replayed
         trials_stored += len(result.specs)
         history.rounds.append(

@@ -27,13 +27,12 @@ resumable, parallel, and fingerprinted like every other experiment.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..campaign import Campaign, Trial, canonical_json, execute
+from ..campaign import Campaign, Trial, execute, values_digest
 from ..core.emr.runtime import EmrConfig, EmrRuntime
 from ..core.ild import train_ild
 from ..errors import DetectedFaultError
@@ -111,8 +110,7 @@ def reports_digest(reports: "list[ChaosReport]") -> str:
     """SHA-256 over the canonical encoding of every report, in order —
     the byte-identity witness ``scripts/check_chaos.py`` compares
     across worker counts and reruns."""
-    material = canonical_json([encode_chaos_report(r) for r in reports])
-    return hashlib.sha256(material.encode()).hexdigest()
+    return values_digest([encode_chaos_report(r) for r in reports])
 
 
 # ----------------------------------------------------------------------

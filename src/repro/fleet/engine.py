@@ -7,7 +7,7 @@ per-craft trials and a fleet-level report, in four moves:
    cell become the SEU outcome table (:mod:`repro.fleet.calibration`),
    itself a resumable campaign.
 2. **Shard** — the canonical craft campaign (one trial per spacecraft)
-   is split by pre-sampling each pending craft's latchup sky from its
+   is split by pre-sampling each craft's latchup sky from its
    pinned trial stream: craft with **no SELs** stay in lockstep and
    ride the SoA batch engine (:func:`repro.campaign.execute_batched`
    over :class:`repro.sim.batch.BatchMachines`); craft with SELs leave
@@ -658,49 +658,42 @@ def run_fleet(
         spec, store=store, workers=workers, metrics=metrics
     )
     campaign = fleet_campaign(spec, calib)
-    specs = campaign.specs()
 
-    batch_trials, scalar_trials = [], []
-    for index, (trial, tspec) in enumerate(zip(campaign.trials, specs)):
-        if store is not None and store.get(tspec.fingerprint) is not None:
-            batch_trials.append(trial)  # replays from the store either way
-            continue
-        if not use_batch:
-            scalar_trials.append(trial)
-            continue
-        probe = trial_rng(spec.seed, index)
-        env = get_preset(trial.params["preset"]).environment
-        duration_s = trial.params["days"] * 86400.0
-        if env.sample_sel_events(duration_s, probe):
-            scalar_trials.append(trial)
-        else:
-            batch_trials.append(trial)
+    # Shard by the SEL probe alone (grid indices): each shard's round
+    # scan replays the craft the store holds, so each entry is read once.
+    batch_shard, scalar_shard = [], []
+    for index, trial in enumerate(campaign.trials):
+        if use_batch:
+            probe = trial_rng(spec.seed, index)
+            env = get_preset(trial.params["preset"]).environment
+            duration_s = trial.params["days"] * 86400.0
+            if not env.sample_sel_events(duration_s, probe):
+                batch_shard.append(index)
+                continue
+        scalar_shard.append(index)
 
     executed = 0
     store_hits = 0
     quarantined: "tuple[QuarantinedTrial, ...]" = ()
-    by_fingerprint = {}
-    if batch_trials:
-        sub = _sub_campaign(campaign, batch_trials)
-        result = execute_batched(
-            sub, _fleet_batch_fn, store=store, metrics=metrics
-        )
+    values: "list[object]" = [None] * len(campaign.trials)
+    for shard in (batch_shard, scalar_shard):
+        if not shard:
+            continue
+        sub = _sub_campaign(campaign, [campaign.trials[i] for i in shard])
+        if shard is batch_shard:
+            result = execute_batched(
+                sub, _fleet_batch_fn, store=store, metrics=metrics
+            )
+        else:
+            result = execute(
+                sub, workers=workers, store=store, metrics=metrics,
+                supervision=supervision,
+            )
+            quarantined = result.quarantined
         executed += result.executed
         store_hits += result.store_hits
-        for tspec, value in zip(result.specs, result.values):
-            by_fingerprint[tspec.fingerprint] = value
-    if scalar_trials:
-        sub = _sub_campaign(campaign, scalar_trials)
-        result = execute(
-            sub, workers=workers, store=store, metrics=metrics,
-            supervision=supervision,
-        )
-        executed += result.executed
-        store_hits += result.store_hits
-        quarantined = result.quarantined
-        for tspec, value in zip(result.specs, result.values):
-            by_fingerprint[tspec.fingerprint] = value
-    values = [by_fingerprint[tspec.fingerprint] for tspec in specs]
+        for index, value in zip(shard, result.values):
+            values[index] = value
 
     flight_values = []
     if spec.flight_sample > 0:

@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..campaign import Campaign, Trial, canonical_json, execute, status
+from ..campaign import Campaign, Trial, execute, status, values_digest
 from ..campaign.store import TrialStore
 from ..errors import StoreWriteError
 from ..obs import MetricsRegistry
@@ -211,13 +211,6 @@ def _host_campaign(
     )
 
 
-def _values_digest(values: "list") -> str:
-    """SHA-256 over the canonical JSON of the values, grid order.
-    Quarantined slots are ``None`` and hash as such."""
-    material = canonical_json(values)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
 class _FullDiskStore(TrialStore):
     """A store whose disk fills after ``capacity`` entries.
 
@@ -279,8 +272,7 @@ class HostChaosReport:
 
 def host_reports_digest(reports: "list[HostChaosReport]") -> str:
     """SHA-256 over every report's canonical encoding, in order."""
-    material = canonical_json([r.to_dict() for r in reports])
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return values_digest([r.to_dict() for r in reports])
 
 
 def render_host_reports(reports: "list[HostChaosReport]") -> str:
@@ -509,7 +501,7 @@ def run_host_scenario(
         scenario=scenario.name, kind=scenario.kind, seed=scenario.seed
     )
     baseline = execute(_host_campaign(scenario), workers=1)
-    report.values_digest = _values_digest(baseline.values)
+    report.values_digest = values_digest(baseline.values)
 
     with tempfile.TemporaryDirectory(prefix=f"ground-{scenario.name}-") as tmp:
         scratch = Path(tmp)

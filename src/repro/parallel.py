@@ -17,8 +17,10 @@ determinism contract:
   pickling, no import-time side effects.
 * **Graceful degradation.** If the host has too few CPUs, fork is
   unavailable (e.g. Windows), or the pool cannot be created, the call
-  silently degrades to the in-process loop and still returns the
-  same values.
+  degrades to the in-process loop and still returns the same values.
+  The fallback is recorded, never silent: when more than one worker
+  was requested for more than one task, the report says
+  ``serial_fallback=True``.
 
 Task functions must be *top-level* callables (picklable by qualified
 name) and pure in their arguments: ``fn(item, rng)`` when a seed is
@@ -75,8 +77,12 @@ class TaskTiming:
 class ParallelReport:
     """Everything :func:`pmap` learned while running a batch.
 
-    The last five fields are populated only by supervised runs
-    (``supervision=`` / :mod:`repro.ground`): quarantined tasks carry
+    ``serial_fallback`` records that more than one worker was
+    requested for more than one task but the run went serial (no
+    usable fork pool, the pool failed to start, or — supervised —
+    too many worker losses). The other ground fields are populated
+    only by supervised runs (``supervision=`` /
+    :mod:`repro.ground`): quarantined tasks carry
     ``None`` in ``values`` and their identities ride in
     ``quarantined`` (:class:`repro.ground.supervision.QuarantinedTask`
     entries); ``ground_events`` holds per-task host-fault trace
@@ -281,6 +287,7 @@ def pmap_report(
         workers=effective,
         mode=mode,
         wall_seconds=wall,
+        serial_fallback=mode == "serial" and resolve_workers(workers, n) > 1,
     )
 
 
